@@ -138,6 +138,30 @@ pub(crate) fn next_plan_epoch() -> u64 {
     EPOCH.fetch_add(1, Ordering::Relaxed) as u64
 }
 
+/// Initial-edge seeds from per-column base values, each downsampled to at
+/// most `⌈Ns / M⌉` values.
+fn seed_edges(
+    base_values: impl Iterator<Item = Vec<u64>>,
+    ns: usize,
+    cfg: &PairwiseHistConfig,
+) -> Vec<Vec<u64>> {
+    let max_seeds = ns.div_ceil(cfg.m_min(ns)).max(1);
+    base_values.map(|v| downsample_seeds(v, max_seeds)).collect()
+}
+
+/// The ascending row indices of an `ns`-row sample of `n` rows: every row when
+/// `ns >= n`, else `index_sample` seeded with `seed` — the draw
+/// [`Dataset::sample`] makes, so encoded and raw builds sample the same rows.
+fn sample_rows(n: usize, ns: usize, seed: u64) -> Vec<usize> {
+    if ns >= n {
+        return (0..n).collect();
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rows = index_sample(&mut rng, n, ns).into_vec();
+    rows.sort_unstable();
+    rows
+}
+
 /// Triangular index of pair `(i, j)` with `i < j`.
 pub(crate) fn pair_index(i: usize, j: usize) -> usize {
     debug_assert!(i < j);
@@ -164,6 +188,35 @@ impl PairwiseHist {
         Self::build_from_matrix(&matrix, pre, data.n_rows() as u64, None, cfg)
     }
 
+    /// Builds from a table that is already encoded under `pre`: samples `Ns` rows
+    /// of `matrix` with the same sampler and seed as [`Dataset::sample`] and
+    /// refines from min/max initial edges. Encoding is per value, so this is
+    /// bit-identical to [`PairwiseHist::build_with_preprocessor`] over the
+    /// decoded rows — without a second encode of the sample.
+    pub fn build_from_encoded(
+        matrix: &EncodedMatrix,
+        pre: Arc<Preprocessor>,
+        cfg: &PairwiseHistConfig,
+    ) -> Self {
+        Self::build_sampled(matrix, pre, None, cfg)
+    }
+
+    /// [`PairwiseHist::build_from_encoded`] with initial edges seeded from
+    /// per-column GreedyGD base values, as [`GdCompressor::base_values`]
+    /// gives them (Algorithm 1 line 4). Bit-identical to
+    /// [`PairwiseHist::build_from_gd`] over the store
+    /// `GdCompressor::compress(matrix)` would build, without building it.
+    ///
+    /// [`GdCompressor::base_values`]: ph_gd::GdCompressor::base_values
+    pub fn build_from_base_values(
+        matrix: &EncodedMatrix,
+        base_values: Vec<Vec<u64>>,
+        pre: Arc<Preprocessor>,
+        cfg: &PairwiseHistConfig,
+    ) -> Self {
+        Self::build_sampled(matrix, pre, Some(base_values), cfg)
+    }
+
     /// Builds on top of GreedyGD-compressed data (the framework of Fig 2): the sample
     /// is decoded via random access and the deduplicated bases seed the initial bin
     /// edges (Algorithm 1 line 4), downsampled to at most `⌈Ns / M⌉` values.
@@ -174,20 +227,27 @@ impl PairwiseHist {
     ) -> Self {
         let n = store.n_rows();
         let ns = cfg.ns.min(n);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-        let mut rows = if ns < n {
-            index_sample(&mut rng, n, ns).into_vec()
-        } else {
-            (0..n).collect()
-        };
-        rows.sort_unstable();
-        let matrix = store.rows(&rows);
-        let m_min = cfg.m_min(ns);
-        let max_seeds = ns.div_ceil(m_min).max(1);
-        let seeds: Vec<Vec<u64>> = (0..store.n_columns())
-            .map(|c| downsample_seeds(store.base_values(c), max_seeds))
-            .collect();
+        let matrix = store.rows(&sample_rows(n, ns, cfg.seed));
+        let seeds = seed_edges((0..store.n_columns()).map(|c| store.base_values(c)), ns, cfg);
         Self::build_from_matrix(&matrix, pre, n as u64, Some(seeds), cfg)
+    }
+
+    /// Samples `Ns` rows of an encoded table (all of them when `Ns ≥ N`) and
+    /// builds, seeding initial edges from `base_values` when given.
+    fn build_sampled(
+        matrix: &EncodedMatrix,
+        pre: Arc<Preprocessor>,
+        base_values: Option<Vec<Vec<u64>>>,
+        cfg: &PairwiseHistConfig,
+    ) -> Self {
+        let n = matrix.n_rows;
+        let ns = cfg.ns.min(n);
+        let seeds = base_values.map(|b| seed_edges(b.into_iter(), ns, cfg));
+        if ns == n {
+            return Self::build_from_matrix(matrix, pre, n as u64, seeds, cfg);
+        }
+        let sample = matrix.take_rows(&sample_rows(n, ns, cfg.seed));
+        Self::build_from_matrix(&sample, pre, n as u64, seeds, cfg)
     }
 
     /// Core construction from an encoded sample matrix.

@@ -70,7 +70,8 @@ pub use engine::{AqpAnswer, AqpError};
 pub use prepared::{AqpEngine, Prepared};
 pub use segment::{CompactReport, FootprintReport};
 pub use session::{
-    BatchSession, CacheStats, IngestReport, Session, SessionStats, TableSnapshot, TableStats,
+    BatchSession, CacheStats, IngestReport, RefitStats, Session, SessionStats, TableSnapshot,
+    TableStats,
 };
 pub use storage::SynopsisSize;
 

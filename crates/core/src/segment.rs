@@ -2,23 +2,29 @@
 //!
 //! This module holds the storage layout behind `Session`'s catalog. Each table
 //! is a list of **sealed segments** — every segment owns its own [`PairwiseHist`]
-//! synopsis *and* its retained rows in a GD-compressed [`GdStore`] (random-access
-//! via `rows()`/`decompress()`, exactly the paper's Fig 2 posture: the compressed
-//! store and the synopsis built over it travel together) — plus one **active
-//! delta** synopsis absorbing `ingest` batches whose raw rows live on the
-//! writer side of the session until the delta is sealed.
+//! synopsis *and* its retained rows in a [`RowStore`] of per-column codecs
+//! (random access and predicate counting on encoded data; the compressed store
+//! and the synopsis built over it travel together, as in the paper's Fig 2) —
+//! plus one **active delta** synopsis absorbing `ingest` batches whose raw rows
+//! live on the writer side of the session until the delta is sealed.
+//!
+//! Every segment comes out of one build, [`build_segment`]: the rows are
+//! encoded once, the synopsis is refined over an `Ns`-row sample of the
+//! encoded matrix and the matrix is sealed into the codec store
+//! ([`seal_store`]). Registration, seal, refit rebuild and compaction all go
+//! through it; they differ only in the synopsis's initial edges ([`Edges`]).
+//! The per-column stages (fit, encode, decode, codec choice) run
+//! column-parallel on large inputs ([`ph_gd::map_columns`]).
 //!
 //! The lifecycle is `delta → seal → compact`:
 //!
 //! * batches fold into the delta via the edge-free update path (O(batch));
 //! * crossing the seal threshold (or the staleness policy) freezes the delta:
-//!   its rows are GD-compressed, a fresh synopsis is refined over them
-//!   ([`PairwiseHist::build_from_gd`], seeding bin edges from the deduplicated
-//!   bases), and the result is appended as a sealed segment — O(threshold),
-//!   **independent of total table size**;
+//!   its rows go through [`build_segment`] and the result is appended as a
+//!   sealed segment — O(threshold), **independent of total table size**;
 //! * `Session::compact` merges accumulated small segments back into one
-//!   (decompress → re-encode under the shared transforms → rebuild once),
-//!   bounded by the rows of the segments being merged.
+//!   (decompress → concatenate → [`build_segment`]), bounded by the rows of
+//!   the segments being merged.
 //!
 //! All engines of one table version share the table's preprocessor and carry the
 //! same **plan epoch**, so a single compiled plan executes against every
@@ -29,8 +35,8 @@ use std::sync::{Arc, OnceLock};
 use ph_obs::{span, Stage};
 
 use ph_gd::{
-    choose_store, EncodeScratch, EncodedMatrix, EncodedPred, GdCompressor, GdError, Preprocessor,
-    RowStore,
+    map_columns, ColumnarStore, EncodeScratch, EncodedMatrix, EncodedPred, GdCompressor, GdError,
+    Preprocessor, RowStore,
 };
 use ph_sql::Query;
 use ph_types::{Column, ColumnType, Dataset, PhError, Value};
@@ -61,10 +67,11 @@ pub(crate) struct Segment {
     /// The segment's synopsis; `plan_epoch` is stamped to the owning table
     /// version's epoch so one prepared plan serves every segment.
     pub(crate) engine: PairwiseHist,
-    /// The segment's retained rows — GreedyGD or per-column codecs, whichever
-    /// won the size model at seal time — shared by `Arc` so epoch restamps and
-    /// state swaps never copy row data. `None` only for tables reopened from
-    /// the legacy single-blob format, which carried no rows.
+    /// The segment's retained rows — per-column codecs for every segment this
+    /// build seals; a GreedyGD store only in segments reopened from blobs that
+    /// an earlier build wrote — shared by `Arc` so epoch restamps and state
+    /// swaps never copy row data. `None` only for tables reopened from the
+    /// legacy single-blob format, which carried no rows.
     pub(crate) store: Option<Arc<RowStore>>,
     /// Serialized size of `store` (O(columns) accounting, see
     /// [`RowStore::packed_bytes`]).
@@ -202,30 +209,52 @@ impl TableState {
     }
 }
 
-/// Builds the registration segment: the synopsis is constructed exactly like the
-/// monolithic path did (sampling the raw dataset), so registering a table keeps
-/// bit-identical answers with earlier versions; the rows are additionally
-/// GD-compressed into the segment's store.
-pub(crate) fn registration_segment(
-    data: &Dataset,
-    pre: &Arc<Preprocessor>,
-    cfg: &PairwiseHistConfig,
-) -> Segment {
-    let mut build_cfg = cfg.clone();
-    build_cfg.ns = build_cfg.ns.min(data.n_rows().max(1));
-    let engine = PairwiseHist::build_with_preprocessor(data, pre.clone(), &build_cfg);
-    let matrix = pre.encode(data);
-    let gd = GdCompressor::new().compress(&matrix);
-    Segment::new(engine, Some(Arc::new(choose_store(&matrix, gd))))
+/// Initial bin edges of a segment's synopsis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Edges {
+    /// Each column's min and max: the raw-dataset build
+    /// ([`PairwiseHist::build_with_preprocessor`]) that registration and refit
+    /// rebuilds have always used.
+    MinMax,
+    /// GreedyGD base values (Algorithm 1 line 4), for seals and compaction.
+    /// Only the split fit runs; no GreedyGD store is built. On small segments
+    /// of smooth columns the seeds carry resolution a min/max start never
+    /// splits down to; where GreedyGD keeps every bit in the deviation (the
+    /// Power columns) they reduce to min/max.
+    GdBases,
 }
 
-/// Seals delta rows into a fresh segment: GD-compress, then refine a synopsis
-/// *from the compressed store* (Algorithm 1's base-seeded construction), stamped
-/// with the table epoch. The GD store is always built — the synopsis seeds its
-/// bin edges from the deduplicated bases, keeping estimates bit-identical no
-/// matter which row store is retained — and then the per-column codec cascade
-/// competes with it for residency ([`choose_store`]). Encode buffers come from
-/// `scratch` so repeated seals don't re-allocate (the ingest-p99 fix).
+/// The one segment build behind registration, seal, refit rebuild and
+/// compaction: a synopsis refined over an `Ns`-row sample of the encoded rows
+/// from `edges`, plus the rows sealed into the per-column codec store. The
+/// caller encodes the rows once; the engine carries a fresh plan epoch for the
+/// caller to keep or restamp.
+pub(crate) fn build_segment(
+    matrix: &EncodedMatrix,
+    pre: &Arc<Preprocessor>,
+    cfg: &PairwiseHistConfig,
+    edges: Edges,
+) -> Segment {
+    let engine = match edges {
+        Edges::MinMax => PairwiseHist::build_from_encoded(matrix, pre.clone(), cfg),
+        Edges::GdBases => {
+            let base_values = GdCompressor::new().base_values(matrix);
+            PairwiseHist::build_from_base_values(matrix, base_values, pre.clone(), cfg)
+        }
+    };
+    Segment::new(engine, Some(Arc::new(seal_store(matrix))))
+}
+
+/// Seals encoded rows into a segment row store: one codec per column, chosen
+/// by exact size ([`ColumnarStore::encode`]).
+pub(crate) fn seal_store(matrix: &EncodedMatrix) -> RowStore {
+    let _codec = span(Stage::Codec);
+    RowStore::Columnar(ColumnarStore::encode(matrix))
+}
+
+/// Seals delta rows into a fresh segment stamped with the table epoch: encode
+/// into `scratch`'s recycled buffers (so repeated seals don't re-allocate),
+/// then [`build_segment`].
 pub(crate) fn seal_segment(
     rows: &Dataset,
     pre: &Arc<Preprocessor>,
@@ -235,15 +264,10 @@ pub(crate) fn seal_segment(
 ) -> Segment {
     let _seal = span(Stage::Seal);
     let matrix = pre.encode_with(rows, scratch);
-    let gd = GdCompressor::new().compress(&matrix);
-    let mut engine = PairwiseHist::build_from_gd(&gd, pre.clone(), cfg);
-    engine.plan_epoch = epoch;
-    let store = {
-        let _codec = span(Stage::Codec);
-        choose_store(&matrix, gd)
-    };
+    let mut segment = build_segment(&matrix, pre, cfg, Edges::GdBases);
+    segment.engine.plan_epoch = epoch;
     scratch.reclaim(matrix);
-    Segment::new(engine, Some(Arc::new(store)))
+    segment
 }
 
 /// Builds the delta synopsis over un-sealed rows, stamped with the table epoch.
@@ -262,9 +286,9 @@ pub(crate) fn build_delta(
 
 /// Merges sealed segments into one: their stores are decompressed (already in
 /// the shared encoded domain — the transforms are lossless, so no value-level
-/// re-preprocessing is needed), concatenated, re-compressed, and a single
-/// synopsis is refined over the merged store. Returns `None` if any input lacks
-/// a row store (legacy blobs).
+/// re-preprocessing is needed), concatenated and rebuilt through
+/// [`build_segment`]. Returns `None` if any input lacks a row store (legacy
+/// blobs).
 pub(crate) fn merge_segments(
     parts: &[Arc<Segment>],
     pre: &Arc<Preprocessor>,
@@ -273,15 +297,13 @@ pub(crate) fn merge_segments(
 ) -> Option<Segment> {
     let matrices: Vec<EncodedMatrix> =
         parts.iter().map(|s| s.store.as_ref().map(|st| st.decompress())).collect::<Option<_>>()?;
-    let combined = concat_matrices(matrices)?;
-    let gd = GdCompressor::new().compress(&combined);
-    let mut engine = PairwiseHist::build_from_gd(&gd, pre.clone(), cfg);
-    engine.plan_epoch = epoch;
-    Some(Segment::new(engine, Some(Arc::new(choose_store(&combined, gd)))))
+    let mut segment = build_segment(&concat_matrices(matrices)?, pre, cfg, Edges::GdBases);
+    segment.engine.plan_epoch = epoch;
+    Some(segment)
 }
 
 /// Concatenates encoded matrices row-wise (same schema by construction).
-fn concat_matrices(mats: Vec<EncodedMatrix>) -> Option<EncodedMatrix> {
+pub(crate) fn concat_matrices(mats: Vec<EncodedMatrix>) -> Option<EncodedMatrix> {
     let d = mats.first()?.n_columns();
     let mut cols: Vec<Vec<u64>> = vec![Vec::new(); d];
     for m in &mats {
@@ -292,79 +314,93 @@ fn concat_matrices(mats: Vec<EncodedMatrix>) -> Option<EncodedMatrix> {
     Some(EncodedMatrix::new(cols))
 }
 
-/// Decodes a segment's compressed rows back into a raw [`Dataset`] named
-/// `name` — the source material for refit rebuilds (novel categorical values or
-/// NULLs that the fitted transforms cannot encode) and the reason a reopened
-/// catalog is no longer an ingest dead-end: the compressed rows round-trip.
+/// Decodes an encoded matrix back to a raw [`Dataset`] named `name`,
+/// reversing the fitted transforms (null codes → NULL) — the source material
+/// for refit rebuilds (novel categorical values or NULLs that the fitted
+/// transforms cannot encode), and the reason a reopened catalog is no longer
+/// an ingest dead-end: the compressed rows round-trip. Columns decode in
+/// parallel on large inputs.
 ///
 /// Fallible: a store deserialized from a damaged or version-skewed blob can
 /// hold codes with no preimage; those surface as [`PhError::Corrupt`] for the
 /// session layer to quarantine on, never a panic.
-pub(crate) fn decode_store(
-    name: &str,
-    pre: &Preprocessor,
-    store: &RowStore,
-) -> Result<Dataset, PhError> {
-    decode_matrix(name, pre, &store.decompress())
-}
-
-/// Decodes an encoded matrix back to the original value domain, column by
-/// column, reversing the fitted transforms (null codes → NULL).
 pub(crate) fn decode_matrix(
     name: &str,
     pre: &Preprocessor,
     m: &EncodedMatrix,
 ) -> Result<Dataset, PhError> {
+    if m.n_columns() != pre.n_columns() {
+        return Err(PhError::Corrupt(format!(
+            "row store holds {} columns, table '{name}' has {}",
+            m.n_columns(),
+            pre.n_columns()
+        )));
+    }
+    let jobs: Vec<(usize, &[u64])> = m.columns.iter().map(Vec::as_slice).enumerate().collect();
+    let columns = map_columns(m.n_rows, jobs, |(c, values)| decode_column(pre, c, values));
     let mut builder = Dataset::builder(name);
-    for c in 0..pre.n_columns() {
-        let col_name = pre.names()[c].clone();
-        let values = &m.columns[c];
-        let column = match pre.column_type(c) {
-            ColumnType::Int | ColumnType::Timestamp => {
-                let ints: Vec<Option<i64>> = values
-                    .iter()
-                    .map(|&v| {
-                        Ok(match pre.decode_value(c, v)? {
-                            Value::Int(i) => Some(i),
-                            _ => None,
-                        })
-                    })
-                    .collect::<Result<_, GdError>>()?;
-                if pre.column_type(c) == ColumnType::Timestamp {
-                    Column::from_timestamps(col_name, ints)
-                } else {
-                    Column::from_ints(col_name, ints)
-                }
-            }
-            ColumnType::Float { scale } => Column::from_floats(
-                col_name,
-                values
-                    .iter()
-                    .map(|&v| {
-                        Ok(match pre.decode_value(c, v)? {
-                            Value::Float(f) => Some(f),
-                            _ => None,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, GdError>>()?,
-                scale,
-            ),
-            ColumnType::Categorical => {
-                let strings: Vec<Option<String>> = values
-                    .iter()
-                    .map(|&v| {
-                        Ok(match pre.decode_value(c, v)? {
-                            Value::Str(s) => Some(s),
-                            _ => None,
-                        })
-                    })
-                    .collect::<Result<_, GdError>>()?;
-                Column::from_strings(col_name, strings.iter().map(|s| s.as_deref()).collect())
-            }
-        };
-        builder = builder.column(column).expect("preprocessor schema is consistent");
+    for column in columns {
+        builder = builder.column(column?).expect("preprocessor schema is consistent");
     }
     Ok(builder.build())
+}
+
+/// Decodes column `c` of an encoded matrix.
+fn decode_column(pre: &Preprocessor, c: usize, values: &[u64]) -> Result<Column, GdError> {
+    let col_name = pre.names()[c].clone();
+    let tr = pre.transform(c);
+    let ty = pre.column_type(c);
+    if ty == ColumnType::Categorical {
+        // The column `Column::from_strings` builds from the decoded values —
+        // dictionary in first-appearance order, which the refit's frequency
+        // ranking breaks ties by — without a `String` per row.
+        let mut code_of_rank: Vec<Option<u32>> = vec![None; tr.n_categories().unwrap_or(0)];
+        let mut dict: Vec<String> = Vec::new();
+        let codes = values
+            .iter()
+            .map(|&v| {
+                if tr.null_code() == Some(v) {
+                    return Ok(None);
+                }
+                let corrupt = || GdError::CorruptCode { column: col_name.clone(), code: v };
+                let slot = code_of_rank.get_mut(v as usize).ok_or_else(corrupt)?;
+                if slot.is_none() {
+                    dict.push(tr.category(v as usize).ok_or_else(corrupt)?.to_string());
+                    *slot = Some(dict.len() as u32 - 1);
+                }
+                Ok(*slot)
+            })
+            .collect::<Result<Vec<_>, GdError>>()?;
+        return Ok(Column::from_codes(col_name, codes, dict));
+    }
+    let numeric = |v: u64| -> Result<Value, GdError> { pre.decode_value(c, v) };
+    Ok(match ty {
+        ColumnType::Float { scale } => Column::from_floats(
+            col_name,
+            values
+                .iter()
+                .map(|&v| Ok(match numeric(v)? {
+                    Value::Float(f) => Some(f),
+                    _ => None,
+                }))
+                .collect::<Result<Vec<_>, GdError>>()?,
+            scale,
+        ),
+        _ => {
+            let ints: Vec<Option<i64>> = values
+                .iter()
+                .map(|&v| Ok(match numeric(v)? {
+                    Value::Int(i) => Some(i),
+                    _ => None,
+                }))
+                .collect::<Result<_, GdError>>()?;
+            if ty == ColumnType::Timestamp {
+                Column::from_timestamps(col_name, ints)
+            } else {
+                Column::from_ints(col_name, ints)
+            }
+        }
+    })
 }
 
 /// Per-table storage breakdown, as returned by `Session::footprint_report`: what
@@ -374,7 +410,7 @@ pub(crate) fn decode_matrix(
 pub struct FootprintReport {
     /// Serialized synopsis bytes across sealed segments and the delta.
     pub synopsis_bytes: usize,
-    /// GD-compressed retained-row bytes across sealed segments.
+    /// Compressed retained-row bytes across sealed segments.
     pub row_store_bytes: usize,
     /// Raw (uncompressed, in-memory) bytes of un-sealed delta rows.
     pub delta_bytes: usize,
@@ -408,31 +444,46 @@ mod tests {
             .unwrap()
             .column(C::from_timestamps("ts", vec![Some(1_700_000_000), Some(1_700_000_500), Some(1_700_000_100), None]))
             .unwrap()
-            .column(C::from_strings("c", vec![Some("x"), Some("y"), Some("x"), None]))
+            // First appearance ("y") differs from frequency rank ("x" first).
+            .column(C::from_strings("c", vec![Some("y"), Some("x"), Some("x"), None]))
             .unwrap()
             .build()
     }
 
-    /// The round trip the whole refit path leans on: compress → decode gives
-    /// back exactly the original rows, every type, nulls included.
+    /// The round trip the whole refit path leans on: seal → decode gives back
+    /// exactly the original rows, every type, nulls included, from the codec
+    /// store and from a GreedyGD store alike. Categorical dictionaries come
+    /// back in first-appearance order, as `Column::from_strings` builds them.
     #[test]
     fn store_decode_roundtrips_all_column_types() {
         let data = sample();
         let pre = Preprocessor::fit(&data);
         let matrix = pre.encode(&data);
-        let gd = GdCompressor::new().compress(&matrix);
-        let store = choose_store(&matrix, gd);
-        let back = decode_store("t", &pre, &store).expect("fitted codes all decode");
-        assert_eq!(back.n_rows(), data.n_rows());
-        for r in 0..data.n_rows() {
+        let gd = RowStore::Gd(ph_gd::GdCompressor::new().compress(&matrix));
+        for store in [seal_store(&matrix), gd] {
+            let back = decode_matrix("t", &pre, &store.decompress()).expect("fitted codes decode");
+            assert_eq!(back.n_rows(), data.n_rows());
             for c in 0..data.n_columns() {
-                match (data.column(c).value(r), back.column(c).value(r)) {
-                    (Value::Float(a), Value::Float(b)) => {
-                        assert!((a - b).abs() < 1e-9, "row {r} col {c}")
+                assert_eq!(back.column(c).dictionary(), data.column(c).dictionary(), "col {c}");
+                for r in 0..data.n_rows() {
+                    match (data.column(c).value(r), back.column(c).value(r)) {
+                        (Value::Float(a), Value::Float(b)) => {
+                            assert!((a - b).abs() < 1e-9, "row {r} col {c}")
+                        }
+                        (a, b) => assert_eq!(a, b, "row {r} col {c}"),
                     }
-                    (a, b) => assert_eq!(a, b, "row {r} col {c}"),
                 }
             }
         }
+    }
+
+    /// A categorical code past the dictionary is corruption, not a panic.
+    #[test]
+    fn decode_rejects_out_of_dictionary_codes() {
+        let data = sample();
+        let pre = Preprocessor::fit(&data);
+        let mut matrix = pre.encode(&data);
+        matrix.columns[3][0] = 99;
+        assert!(matches!(decode_matrix("t", &pre, &matrix), Err(PhError::Corrupt(_))));
     }
 }

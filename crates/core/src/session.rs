@@ -7,7 +7,7 @@
 //!
 //! * stores each table as a list of immutable **sealed segments** — every
 //!   segment holding its own PairwiseHist synopsis *plus* its retained rows
-//!   GD-compressed in a `ph_gd::GdStore` — and one **active delta** synopsis
+//!   in a per-column codec store — and one **active delta** synopsis
 //!   absorbing `ingest` batches (see `crate::segment` for the layout);
 //! * routes each query by its `FROM` table, fans the compiled plan out across
 //!   the table's segment synopses and **merges** the partial estimates
@@ -109,8 +109,9 @@ use crate::engine::AqpAnswer;
 use crate::coverage::RangeSet;
 use crate::prepared::Prepared;
 use crate::segment::{
-    build_delta, count_store_matching, decode_store, merge_segments, registration_segment,
-    seal_segment, CompactReport, FootprintReport, Segment, TableState,
+    build_delta, build_segment, concat_matrices, count_store_matching, decode_matrix,
+    merge_segments, seal_segment, seal_store, CompactReport, Edges, FootprintReport, Segment,
+    TableState,
 };
 use crate::storage::{
     segment_from_bytes, segment_to_bytes, table_manifest_from_bytes, table_manifest_to_bytes,
@@ -447,19 +448,64 @@ pub struct TableStats {
     /// Fraction of the serving sample held by the un-sealed delta.
     pub staleness: f64,
     /// Row-store codec mix across the sealed segments: `(codec name, columns
-    /// held under it)`, sorted by name. GreedyGD segments report every column
-    /// as `"greedy-gd"`; per-column cascade segments report the winning codec
-    /// of each column (`"bitpack"`, `"delta"`, `"dict"`, `"runend"`).
+    /// held under it)`, sorted by name. Cascade segments report the winning
+    /// codec of each column (`"bitpack"`, `"delta"`, `"dict"`, `"runend"`);
+    /// a GreedyGD segment reopened from a blob an earlier build wrote reports
+    /// every column as `"greedy-gd"`.
     pub codec_mix: Vec<(String, u64)>,
 }
 
-/// Point-in-time statistics of a whole session: plan-cache totals plus one
-/// [`TableStats`] per registered table, sorted by name. The single payload a
-/// metrics endpoint needs — see `ph_server`'s `GET /stats`.
+/// Lock-free refit counters behind [`RefitStats`], one per cause.
+#[derive(Default)]
+struct RefitCounters {
+    novel_category: ph_obs::Counter,
+    novel_null: ph_obs::Counter,
+    below_min: ph_obs::Counter,
+}
+
+impl RefitCounters {
+    fn stats(&self) -> RefitStats {
+        RefitStats {
+            novel_category: self.novel_category.get(),
+            novel_null: self.novel_null.get(),
+            below_min: self.below_min.get(),
+        }
+    }
+}
+
+/// Refit rebuilds since the session was created, by cause (the
+/// `ph_refits_total{reason}` family of `ph_server`'s `/metrics`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RefitStats {
+    /// Batches carrying a categorical value outside the fitted dictionary.
+    pub novel_category: u64,
+    /// Batches carrying a NULL in a column fitted without one.
+    pub novel_null: u64,
+    /// Seals whose delta held a numeric value below the fitted minimum.
+    pub below_min: u64,
+}
+
+impl RefitStats {
+    /// `(reason label, count)` in a fixed order: `novel_category`,
+    /// `novel_null`, `below_min`.
+    pub fn by_reason(&self) -> [(&'static str, u64); 3] {
+        [
+            ("novel_category", self.novel_category),
+            ("novel_null", self.novel_null),
+            ("below_min", self.below_min),
+        ]
+    }
+}
+
+/// Point-in-time statistics of a whole session: plan-cache totals, refit
+/// counts, plus one [`TableStats`] per registered table, sorted by name. The
+/// single payload a metrics endpoint needs — see `ph_server`'s `GET /stats`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionStats {
     /// Plan-cache totals since the session was created.
     pub cache: CacheStats,
+    /// Refit rebuilds since the session was created, by cause.
+    pub refits: RefitStats,
     /// Per-table serving state, sorted by table name.
     pub tables: Vec<TableStats>,
 }
@@ -513,6 +559,8 @@ pub struct Session {
     /// manifest itself was unreadable) → reason. Quarantined tables are not
     /// served; everything else in the catalog is.
     quarantined: Mutex<BTreeMap<String, String>>,
+    /// Refit rebuilds by cause.
+    refits: RefitCounters,
 }
 
 impl Default for Session {
@@ -539,6 +587,7 @@ impl Session {
             dropped: Mutex::new(HashSet::new()),
             wal_dir: Mutex::new(None),
             quarantined: Mutex::new(BTreeMap::new()),
+            refits: RefitCounters::default(),
         }
     }
 
@@ -602,7 +651,8 @@ impl Session {
 
     /// Registers a dataset under its own name, building the table's first sealed
     /// segment with the session's default configuration: a synopsis over the
-    /// rows plus the rows themselves, GD-compressed, as rebuild material.
+    /// rows plus the rows themselves, in the per-column codec store, as rebuild
+    /// material.
     pub fn register(&self, data: Dataset) -> Result<(), PhError> {
         let cfg = self.default_cfg.clone();
         self.register_with(data, &cfg)
@@ -623,7 +673,7 @@ impl Session {
         // runs before the map lock is taken — registration must not stall the
         // catalog.
         let pre = Arc::new(ph_gd::Preprocessor::fit(&data));
-        let segment = registration_segment(&data, &pre, cfg);
+        let segment = build_segment(&pre.encode(&data), &pre, cfg, Edges::MinMax);
         let epoch = segment.engine.plan_epoch();
         let state = TableState {
             epoch,
@@ -896,6 +946,7 @@ impl Session {
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             cache: self.cache_stats(),
+            refits: self.refits.stats(),
             tables: self
                 .tables()
                 .iter()
@@ -940,9 +991,10 @@ impl Session {
     /// (`update.rs`), leaving every sealed segment untouched. When the delta
     /// crosses [`Session::set_seal_threshold`] rows — or its staleness crosses
     /// [`Session::set_max_staleness`] — it is **sealed**: cut into segment-sized
-    /// slices, each GD-compressed and refined into a fresh synopsis, appended to
-    /// the segment list. Sealing costs O(threshold) regardless of how large the
-    /// table has grown; there is no full-table rebuild on this path.
+    /// slices, each encoded once, sealed into the per-column codec store and
+    /// refined into a fresh synopsis, appended to the segment list. Sealing
+    /// costs O(threshold) regardless of how large the table has grown; there is
+    /// no full-table rebuild on this path.
     ///
     /// The replacement state is built **out of place** — readers keep answering
     /// from the current version the whole time — and swapped in atomically at the
@@ -1006,7 +1058,14 @@ impl Session {
             c.valid_count() < c.len() && pre.transform(col).null_code().is_none()
         });
 
-        if has_novel_category || has_novel_null {
+        let novel = if has_novel_category {
+            Some(&self.refits.novel_category)
+        } else if has_novel_null {
+            Some(&self.refits.novel_null)
+        } else {
+            None
+        };
+        if let Some(cause) = novel {
             // Full refit rebuild: decode every segment's compressed rows, add
             // the delta and the batch, refit the transforms over everything and
             // collapse to one fresh segment. O(total) — the documented cost of
@@ -1014,7 +1073,7 @@ impl Session {
             // only consumed *after* the rebuild succeeds: a failure (e.g. a
             // legacy segment without retained rows) must leave the table — and
             // the delta-rows ↔ delta-synopsis invariant — exactly as it was.
-            let state = self.rebuild_with_batch(table, &cur, delta_rows.as_ref(), batch)?;
+            let state = self.refit(table, &cur, delta_rows.as_ref(), batch, cause)?;
             // Journal only once the batch is certain to apply: a journaled
             // batch that could never re-apply would poison replay.
             self.wal_append(table, &cell, batch)?;
@@ -1074,9 +1133,9 @@ impl Session {
             // decodable rows (legacy segments) can't refit and seal lossily,
             // exactly as the old no-retained-rows posture behaved.
             if below_fitted_min(&pre, delta_data) {
-                if let Ok(state) =
-                    self.rebuild_with_batch(table, &cur, delta_rows.as_ref(), &batch.take(&[]))
-                {
+                let empty = batch.take(&[]);
+                let cause = &self.refits.below_min;
+                if let Ok(state) = self.refit(table, &cur, delta_rows.as_ref(), &empty, cause) {
                     *delta_rows = None;
                     cell.set_delta_bytes(0);
                     let staleness = state.staleness();
@@ -1174,15 +1233,18 @@ impl Session {
     /// The refit rebuild: all rows (decoded segment stores + delta + batch) under
     /// freshly fitted transforms, as one segment. Pure with respect to the
     /// caller's state — the delta rows are borrowed, not consumed, so a failure
-    /// leaves the table untouched.
-    fn rebuild_with_batch(
+    /// leaves the table untouched. Traced as [`Stage::Refit`]; `cause` counts
+    /// it once it succeeds.
+    fn refit(
         &self,
         table: &str,
         cur: &TableState,
         delta: Option<&Dataset>,
         batch: &Dataset,
+        cause: &ph_obs::Counter,
     ) -> Result<TableState, PhError> {
-        let mut all: Option<Dataset> = None;
+        let _refit = span(Stage::Refit);
+        let mut matrices = Vec::with_capacity(cur.segments.len());
         for seg in &cur.segments {
             let Some(store) = &seg.store else {
                 return Err(PhError::Schema(format!(
@@ -1191,20 +1253,20 @@ impl Session {
                      to rebuild from"
                 )));
             };
-            let decoded = decode_store(table, &cur.pre, store)?;
-            match all.as_mut() {
-                Some(d) => d.append(&decoded)?,
-                None => all = Some(decoded),
-            }
+            matrices.push(store.decompress());
         }
-        let mut all = all.unwrap_or_else(|| batch.take(&[]));
+        let mut all = match concat_matrices(matrices) {
+            Some(m) => decode_matrix(table, &cur.pre, &m)?,
+            None => batch.take(&[]),
+        };
         if let Some(d) = delta {
             all.append(d)?;
         }
         all.append(batch)?;
         let pre = Arc::new(ph_gd::Preprocessor::fit(&all));
-        let segment = registration_segment(&all, &pre, &cur.cfg);
+        let segment = build_segment(&pre.encode(&all), &pre, &cur.cfg, Edges::MinMax);
         let epoch = segment.engine.plan_epoch();
+        cause.inc();
         Ok(TableState {
             epoch,
             pre,
@@ -1217,10 +1279,9 @@ impl Session {
 
     /// Merges `table`'s small sealed segments (fewer rows than the seal
     /// threshold) into one: their compressed stores are decompressed,
-    /// concatenated, re-compressed, and a single synopsis is refined over the
-    /// result — cost bounded by the rows of the segments being merged, never the
-    /// whole table. The shared transforms are unchanged, so the plan epoch is
-    /// kept and held plans stay valid.
+    /// concatenated and rebuilt as one segment — cost bounded by the rows of
+    /// the segments being merged, never the whole table. The shared transforms
+    /// are unchanged, so the plan epoch is kept and held plans stay valid.
     ///
     /// Serializes with ingest on the per-table writer lock; readers are never
     /// blocked. Legacy segments without row stores are left as they are.
@@ -1343,9 +1404,7 @@ impl Session {
                 .map(|s| segment_to_bytes(&s.engine, s.store.as_deref()))
                 .collect();
             if let (Some(rows), Some(delta)) = (delta_rows.as_ref(), state.delta.as_ref()) {
-                let matrix = state.pre.encode(rows);
-                let gd = ph_gd::GdCompressor::new().compress(&matrix);
-                let store = ph_gd::choose_store(&matrix, gd);
+                let store = seal_store(&state.pre.encode(rows));
                 blobs.push(segment_to_bytes(delta, Some(&store)));
             }
             let base = file_base_for(name);
@@ -2169,6 +2228,61 @@ mod tests {
         ] {
             assert_eq!(s.sql(sql).unwrap(), reopened.sql(sql).unwrap(), "{sql}");
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Segments an earlier build sealed under GreedyGD (`PSG3` store kind 1)
+    /// still open and answer identically: the reader stays though no build
+    /// writes that kind any more. A refit on the reopened table decodes the GD
+    /// store and re-seals everything under the codec cascade.
+    #[test]
+    fn gd_segment_blobs_still_open_and_answer_identically() {
+        let s = session_with("t", 6_000, 21);
+        let cell = s.cell("t").unwrap();
+        let cur = cell.snapshot();
+        let seg = &cur.segments[0];
+        let rows = seg.store.as_ref().unwrap().decompress();
+        let gd = ph_gd::RowStore::Gd(ph_gd::GdCompressor::new().compress(&rows));
+        cell.swap(TableState {
+            epoch: cur.epoch,
+            pre: cur.pre.clone(),
+            segments: vec![Arc::new(Segment::new(seg.engine.clone(), Some(Arc::new(gd))))],
+            delta: None,
+            cfg: cur.cfg.clone(),
+            footprint: OnceLock::new(),
+        });
+        let gd_mix = vec![("greedy-gd".to_string(), 3)];
+        assert_eq!(s.table_stats("t").unwrap().codec_mix, gd_mix);
+
+        let dir = std::env::temp_dir().join(format!("ph_session_gd_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        s.save_dir(&dir).unwrap();
+        let reopened = Session::open_dir(&dir).unwrap();
+        assert_eq!(reopened.table_stats("t").unwrap().codec_mix, gd_mix);
+        for sql in [
+            "SELECT COUNT(y) FROM t WHERE x > 500",
+            "SELECT AVG(x) FROM t WHERE y < 800",
+            "SELECT MEDIAN(y) FROM t WHERE c = 'b'",
+            "SELECT SUM(x) FROM t WHERE x > 100 GROUP BY c",
+        ] {
+            assert_eq!(s.sql(sql).unwrap(), reopened.sql(sql).unwrap(), "{sql}");
+        }
+        let (a, b) = (s.engine("t").unwrap(), reopened.engine("t").unwrap());
+        let rs = RangeSet::interval(100, 400);
+        assert_eq!(a.count_sealed_matching(0, &rs), b.count_sealed_matching(0, &rs));
+
+        let novel = Dataset::builder("t")
+            .column(Column::from_ints("x", vec![Some(5); 10]))
+            .unwrap()
+            .column(Column::from_ints("y", vec![Some(9); 10]))
+            .unwrap()
+            .column(Column::from_strings("c", vec![Some("zz"); 10]))
+            .unwrap()
+            .build();
+        assert!(reopened.ingest("t", &novel).unwrap().rebuilt);
+        let stats = reopened.table_stats("t").unwrap();
+        assert_eq!(stats.sealed_rows, 6_010);
+        assert!(stats.codec_mix.iter().all(|(name, _)| name != "greedy-gd"), "{stats:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -21,12 +21,12 @@ pub struct ColumnarStore {
 }
 
 impl ColumnarStore {
-    /// Encodes every column of the matrix through [`choose_codec`].
+    /// Encodes every column of the matrix through [`choose_codec`], in
+    /// parallel on large inputs ([`map_columns`](crate::map_columns)).
     pub fn encode(matrix: &EncodedMatrix) -> Self {
-        Self {
-            n_rows: matrix.n_rows,
-            columns: matrix.columns.iter().map(|c| choose_codec(c)).collect(),
-        }
+        let columns: Vec<&[u64]> = matrix.columns.iter().map(Vec::as_slice).collect();
+        let columns = crate::map_columns(matrix.n_rows, columns, choose_codec);
+        Self { n_rows: matrix.n_rows, columns }
     }
 
     /// Rows held.

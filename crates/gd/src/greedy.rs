@@ -17,6 +17,9 @@
 //! costs one add/sub per row instead of rehashing the whole tuple. The split is fitted
 //! on a row sample (`fit_rows`) and then applied exactly to all rows.
 
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use rand::seq::index::sample as index_sample;
 use rand::SeedableRng;
 
@@ -66,6 +69,37 @@ impl GdCompressor {
         GdStore::build(data, &widths, &dev_bits)
     }
 
+    /// The per-column base values the store [`GdCompressor::compress`] would
+    /// build holds — [`GdStore::base_values`] of every column — without
+    /// building it: fits the split, then takes each column's distinct base
+    /// parts over all rows (every row's base tuple is in the store, so the
+    /// per-column projections are the same). This is all PairwiseHist's
+    /// base-seeded build needs from GreedyGD.
+    pub fn base_values(&self, data: &EncodedMatrix) -> Vec<Vec<u64>> {
+        let widths: Vec<u32> = (0..data.n_columns())
+            .map(|c| bits_for(data.column_max(c)))
+            .collect();
+        let dev_bits = self.fit_dev_bits(data, &widths);
+        let jobs: Vec<(&[u64], u32, u32)> = data
+            .columns
+            .iter()
+            .zip(widths.iter().zip(&dev_bits))
+            .map(|(col, (&w, &d))| (col.as_slice(), w, d))
+            .collect();
+        crate::map_columns(data.n_rows, jobs, |(col, width, shift)| {
+            if col.is_empty() {
+                Vec::new()
+            } else if shift >= width {
+                vec![0] // the whole value is deviation: one empty base part
+            } else {
+                let mut parts: Vec<u64> = col.iter().map(|&v| (v >> shift) << shift).collect();
+                parts.sort_unstable();
+                parts.dedup();
+                parts
+            }
+        })
+    }
+
     /// Greedy search for per-column deviation widths.
     fn fit_dev_bits(&self, data: &EncodedMatrix, widths: &[u32]) -> Vec<u32> {
         let d = data.n_columns();
@@ -99,22 +133,30 @@ impl GdCompressor {
         // evaluated; the accepted move is whichever strictly shrinks the size model
         // the most.
         const STEPS: [u32; 4] = [1, 2, 4, 8];
-        // Candidate-hash, trial-widths and distinct-set buffers are hoisted out
-        // of the loop: the seal path runs this search on every batch, and a
-        // fresh (n)-sized allocation per (column × step) per iteration was the
-        // dominant source of ingest tail latency.
-        let mut cand: Vec<u64> = Vec::with_capacity(n);
-        let mut trial = vec![0u32; d];
-        let mut seen = std::collections::HashSet::with_capacity(n);
+        // Per-column candidate-hash and distinct-set buffers are hoisted out of
+        // the loop: the seal path runs this search on every seal, and a fresh
+        // (n)-sized allocation per (column × step) per iteration was the
+        // dominant source of ingest tail latency. One pair per column lets the
+        // columns' candidates evaluate in parallel on large fits.
+        let mut buffers: Vec<(Vec<u64>, MixedSet)> = (0..d)
+            .map(|_| {
+                let seen = MixedSet::with_capacity_and_hasher(n, Default::default());
+                (Vec::with_capacity(n), seen)
+            })
+            .collect();
         loop {
-            let mut best: Option<(usize, u32, u64, usize)> = None; // (col, step, size, bases)
-            for c in 0..d {
+            // Each column's best move: the smallest size, the smallest step on
+            // ties. Evaluated column-parallel on large fits.
+            let jobs: Vec<(usize, &mut (Vec<u64>, MixedSet))> =
+                buffers.iter_mut().enumerate().collect();
+            let per_column = crate::map_columns(n, jobs, |(c, (cand, seen))| {
+                let mut best: Option<(u32, u64, usize)> = None; // (step, size, bases)
+                let shift = dev_bits[c];
+                let col = &fit.columns[c];
                 for step in STEPS {
-                    if dev_bits[c] + step > widths[c] {
+                    if shift + step > widths[c] {
                         continue;
                     }
-                    let shift = dev_bits[c];
-                    let col = &fit.columns[c];
                     cand.clear();
                     for (r, h) in hashes.iter().enumerate() {
                         let old_part = col[r] >> shift;
@@ -123,13 +165,25 @@ impl GdCompressor {
                             h.wrapping_sub(mix(c, old_part)).wrapping_add(mix(c, new_part)),
                         );
                     }
-                    let nb = distinct_with(&cand, &mut seen);
-                    trial.copy_from_slice(&dev_bits);
+                    let nb = distinct_with(cand, seen);
+                    let mut trial = dev_bits.clone();
                     trial[c] += step;
                     let sz = size_bits(n, nb, widths, &trial);
-                    if sz < best.map_or(best_size, |(_, _, s, _)| s) {
-                        best = Some((c, step, sz, nb));
+                    if best.is_none_or(|(_, s, _)| sz < s) {
+                        best = Some((step, sz, nb));
                     }
+                }
+                best
+            });
+            // The first column holding the smallest size that beats the
+            // current one: the move a serial scan in (column, step) order
+            // would accept.
+            let mut best: Option<(usize, u32, u64, usize)> = None; // (col, step, size, bases)
+            for (c, (step, sz, nb)) in
+                per_column.into_iter().enumerate().filter_map(|(c, b)| Some((c, b?)))
+            {
+                if sz < best.map_or(best_size, |(_, _, s, _)| s) {
+                    best = Some((c, step, sz, nb));
                 }
             }
             match best {
@@ -183,14 +237,38 @@ fn mix(col: usize, part: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Pass-through hasher for [`MixedSet`]: the row hashes it holds are already
+/// [`mix`]ed, so a second (SipHash) pass would only cost time.
+#[derive(Default)]
+struct PreMixed(u64);
+
+impl Hasher for PreMixed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
+    }
+}
+
+/// A set of mixed row hashes, counted to size a candidate base table.
+type MixedSet = HashSet<u64, BuildHasherDefault<PreMixed>>;
+
 fn distinct(hashes: &[u64]) -> usize {
-    let mut set = std::collections::HashSet::with_capacity(hashes.len());
+    let mut set = MixedSet::with_capacity_and_hasher(hashes.len(), Default::default());
     distinct_with(hashes, &mut set)
 }
 
 /// [`distinct`] with a caller-owned set, so the greedy loop's inner candidate
 /// evaluation reuses one allocation across all (column × step) trials.
-fn distinct_with(hashes: &[u64], set: &mut std::collections::HashSet<u64>) -> usize {
+fn distinct_with(hashes: &[u64], set: &mut MixedSet) -> usize {
     set.clear();
     for &h in hashes {
         set.insert(h);
@@ -236,6 +314,29 @@ mod tests {
         let widths = [16u32, 16];
         let dev = [4u32, 4];
         assert!(size_bits(1000, 10, &widths, &dev) < size_bits(1000, 500, &widths, &dev));
+    }
+
+    /// `base_values` is the store's per-column base values, without the store.
+    #[test]
+    fn base_values_match_the_compressed_store() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let n = 3000;
+        let m = EncodedMatrix::new(vec![
+            (0..n).map(|_| (rng.gen_range(0..4u64) << 8) | rng.gen_range(0..256u64)).collect(),
+            (0..n).map(|_| rng.gen_range(0..1000u64)).collect(),
+            (0..n).map(|i| i as u64 % 3).collect(),
+            vec![0; n],
+        ]);
+        let gd = GdCompressor::new();
+        let store = gd.compress(&m);
+        let base_values = gd.base_values(&m);
+        assert!(base_values.iter().any(|v| v.len() > 1), "some column keeps base bits");
+        for (c, values) in base_values.iter().enumerate() {
+            assert_eq!(values, &store.base_values(c), "column {c}");
+        }
+        let empty = EncodedMatrix::new(vec![vec![], vec![]]);
+        assert_eq!(gd.base_values(&empty), vec![Vec::<u64>::new(); 2]);
     }
 
     #[test]

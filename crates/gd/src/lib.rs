@@ -29,6 +29,7 @@
 mod codec;
 mod greedy;
 mod matrix;
+mod par;
 mod preprocess;
 mod store;
 
@@ -38,5 +39,6 @@ pub use codec::{
 };
 pub use greedy::{GdCompressor, GdConfig};
 pub use matrix::EncodedMatrix;
+pub use par::{map_columns, PARALLEL_MIN_ROWS};
 pub use preprocess::{ColumnTransform, EncodeScratch, EncodedLiteral, GdError, Preprocessor};
 pub use store::{CompressionStats, GdStore};

@@ -177,9 +177,12 @@ impl Preprocessor {
     ///
     /// Batch-friendly by design: the constants involved (min, scale, value
     /// frequencies) are all streamable, matching the paper's claim that datasets can
-    /// be processed "in arbitrarily-sized batches".
+    /// be processed "in arbitrarily-sized batches". Columns fit in parallel on
+    /// large inputs ([`map_columns`](crate::map_columns)); the result is the
+    /// same either way.
     pub fn fit(data: &Dataset) -> Self {
-        let transforms = data.columns().iter().map(fit_column).collect();
+        let columns: Vec<&Column> = data.columns().iter().collect();
+        let transforms = crate::map_columns(data.n_rows(), columns, fit_column);
         Self {
             transforms,
             names: data.columns().iter().map(|c| c.name().to_string()).collect(),
@@ -224,19 +227,20 @@ impl Preprocessor {
 
     /// [`Preprocessor::encode`] with recycled column buffers: repeated seals
     /// reuse `scratch`'s allocations instead of growing fresh vectors each
-    /// time. Same panics and output as `encode`.
+    /// time. Same panics and output as `encode`; columns encode in parallel on
+    /// large inputs ([`map_columns`](crate::map_columns)).
     pub fn encode_with(&self, data: &Dataset, scratch: &mut EncodeScratch) -> EncodedMatrix {
         assert_eq!(data.n_columns(), self.transforms.len(), "schema mismatch");
-        let columns = data
+        let jobs: Vec<(&Column, &ColumnTransform, Vec<u64>)> = data
             .columns()
             .iter()
             .zip(&self.transforms)
-            .map(|(col, tr)| {
-                let mut out = scratch.take();
-                encode_column_into(col, tr, &mut out);
-                out
-            })
+            .map(|(col, tr)| (col, tr, scratch.take()))
             .collect();
+        let columns = crate::map_columns(data.n_rows(), jobs, |(col, tr, mut out)| {
+            encode_column_into(col, tr, &mut out);
+            out
+        });
         EncodedMatrix::new(columns)
     }
 

@@ -56,6 +56,9 @@ pub enum Stage {
     Codec = 16,
     /// Folding ingested rows into the active delta synopsis.
     Fold = 17,
+    /// Refit rebuild: a batch the fitted transforms cannot encode rebuilds the
+    /// whole table under refitted transforms.
+    Refit = 18,
 }
 
 /// Every stage, for registering per-stage metric families.
@@ -78,6 +81,7 @@ pub const ALL_STAGES: &[Stage] = &[
     Stage::Seal,
     Stage::Codec,
     Stage::Fold,
+    Stage::Refit,
 ];
 
 impl Stage {
@@ -114,6 +118,7 @@ impl Stage {
             Stage::Seal => "seal",
             Stage::Codec => "codec",
             Stage::Fold => "fold",
+            Stage::Refit => "refit",
         }
     }
 }

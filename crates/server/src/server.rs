@@ -1616,6 +1616,15 @@ fn metrics_text(shared: &Shared) -> String {
     push_sample(&mut out, "ph_plan_cache_misses_total", &[], stats.cache.misses as f64);
     push_header(
         &mut out,
+        "ph_refits_total",
+        "Refit rebuilds since start, by the batch shape that forced them.",
+        Kind::Counter,
+    );
+    for (reason, n) in stats.refits.by_reason() {
+        push_sample(&mut out, "ph_refits_total", &[("reason", reason)], n as f64);
+    }
+    push_header(
+        &mut out,
         "ph_table_bytes",
         "Per-table storage footprint by component, from the snapshot cache.",
         Kind::Gauge,

@@ -9,8 +9,10 @@
 //!   histograms refined by recursive χ² uniformity testing, per-bin metadata,
 //!   the compact Fig 6 storage encoding, and bounded execution of seven
 //!   aggregation functions;
-//! * [`gd`] — GreedyGD: generalized-deduplication compression whose bases double
-//!   as the synopsis seed and whose store supports random row access;
+//! * [`gd`] — the encoded domain and its stores: the lossless preprocessing
+//!   transforms, the per-column codec cascade segments keep their rows in, and
+//!   GreedyGD, the paper's generalized-deduplication compressor whose bases can
+//!   seed the synopsis (`PairwiseHist::build_from_gd`);
 //! * [`sql`] — the query-template parser (`SELECT F(X) FROM t WHERE … GROUP BY g`);
 //! * [`exact`] — the ground-truth row-scan engine used by the evaluation;
 //! * [`baselines`] — sampling, DeepDB-like SPN, and DBEst-like KDE engines;
@@ -60,8 +62,9 @@
 //!
 //! Behind the catalog, every table lives in **segmented storage**: a list of
 //! immutable sealed segments — each holding its own synopsis *plus* its rows
-//! GD-compressed in a [`GdStore`](ph_gd::GdStore) — and one active delta that
-//! absorbs [`Session::ingest`](ph_core::Session::ingest) batches in O(batch).
+//! in a per-column codec store ([`RowStore`](ph_gd::RowStore)) — and one active
+//! delta that absorbs [`Session::ingest`](ph_core::Session::ingest) batches in
+//! O(batch).
 //! When the delta crosses the seal threshold (or the staleness policy), it is
 //! *sealed* into a new segment — O(threshold), independent of how large the
 //! table has grown; there is no full-table rebuild on the ingest path. Queries
@@ -205,8 +208,8 @@ pub use ph_workload as workload;
 pub mod prelude {
     pub use ph_core::{
         AqpAnswer, AqpEngine, AqpError, CacheStats, CompactReport, Estimate, FootprintReport,
-        IngestReport, PairwiseHist, PairwiseHistConfig, Prepared, Session, SessionStats,
-        SplitRule, TableSnapshot, TableStats,
+        IngestReport, PairwiseHist, PairwiseHistConfig, Prepared, RefitStats, Session,
+        SessionStats, SplitRule, TableSnapshot, TableStats,
     };
     pub use ph_exact::{evaluate, ExactAnswer, ExactEngine};
     pub use ph_gd::{GdCompressor, GdStore, Preprocessor};

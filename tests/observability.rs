@@ -151,6 +151,78 @@ fn metrics_scrape_parses_and_advances_with_traffic() {
     server.shutdown();
 }
 
+/// `body` with the number after every `_us":` or `_ms":` key replaced by 0.
+fn blank_timings(body: &str) -> String {
+    let mut out = String::with_capacity(body.len());
+    let mut rest = body;
+    while let Some(at) = ["_us\":", "_ms\":"].iter().filter_map(|k| rest.find(k)).min() {
+        let value = at + 5;
+        out.push_str(&rest[..value]);
+        out.push('0');
+        rest = rest[value..].trim_start_matches(|c: char| c.is_ascii_digit() || ".-+eE".contains(c));
+    }
+    out.push_str(rest);
+    out
+}
+
+/// The value of the one exposition line that starts with `prefix` (a metric
+/// name with its full label set).
+fn labeled(body: &str, prefix: &str) -> f64 {
+    let line = body
+        .lines()
+        .find(|l| l.starts_with(prefix))
+        .unwrap_or_else(|| panic!("no sample {prefix} in:\n{body}"));
+    sample(line).1
+}
+
+/// A batch carrying a category the table has never seen forces a refit
+/// rebuild: `/metrics` counts it under its reason and times it as its own
+/// `refit` stage, not as an `ingest` root with no child.
+#[test]
+fn refit_is_counted_by_reason_and_traced_as_its_own_stage() {
+    let n = 4_000;
+    let data = Dataset::builder("sites")
+        .column(Column::from_ints("x", (0..n).map(|i| Some(i as i64 % 100)).collect()))
+        .unwrap()
+        .column(Column::from_strings("site", (0..n).map(|i| Some(["a", "b"][i % 2])).collect()))
+        .unwrap()
+        .build();
+    let session = Arc::new(Session::new());
+    session.register(data).unwrap();
+    let server = Server::bind(
+        session.clone(),
+        "127.0.0.1:0",
+        ServerConfig { workers: 2, ..Default::default() },
+    )
+    .unwrap();
+    let addr = server.local_addr().to_string();
+
+    let (_, body) = http_get(&addr, "/metrics");
+    parse_exposition(&body);
+    for reason in ["novel_category", "novel_null", "below_min"] {
+        assert_eq!(labeled(&body, &format!("ph_refits_total{{reason=\"{reason}\"}}")), 0.0);
+    }
+    let refit_count = "ph_query_stage_seconds_count{stage=\"refit\"}";
+    assert_eq!(labeled(&body, refit_count), 0.0);
+
+    let row = |x: f64, site: &str| {
+        Json::Obj(vec![("x".into(), Json::Num(x)), ("site".into(), Json::Str(site.into()))])
+    };
+    let mut client = Client::new(addr.clone());
+    // Known categories fold into the delta; a new one refits.
+    client.ingest_rows("sites", vec![row(1.0, "a"), row(2.0, "b")]).unwrap();
+    client.ingest_rows("sites", vec![row(3.0, "c")]).unwrap();
+
+    let (_, body) = http_get(&addr, "/metrics");
+    parse_exposition(&body);
+    assert_eq!(labeled(&body, "ph_refits_total{reason=\"novel_category\"}"), 1.0);
+    assert_eq!(labeled(&body, "ph_refits_total{reason=\"novel_null\"}"), 0.0);
+    assert_eq!(labeled(&body, "ph_refits_total{reason=\"below_min\"}"), 0.0);
+    assert_eq!(labeled(&body, refit_count), 1.0, "the refit was not traced as a stage");
+    assert_eq!(session.stats().refits.novel_category, 1);
+    server.shutdown();
+}
+
 #[test]
 fn debug_slow_breaks_queries_into_stages_without_leaking_sql() {
     let session = Arc::new(Session::new());
@@ -171,8 +243,11 @@ fn debug_slow_breaks_queries_into_stages_without_leaking_sql() {
 
     let (status, body) = http_get(&addr, "/debug/slow");
     assert!(status.starts_with("HTTP/1.1 200"), "{status}");
-    // The forensics surface must never carry query text or literals.
-    assert!(!body.contains("SELECT") && !body.contains("123"), "raw SQL leaked: {body}");
+    // The forensics surface must never carry query text or literals. Timings
+    // (`*_us`, `*_ms` values) are measured numbers that can spell "123" by
+    // chance, so they are blanked before the literal is looked for.
+    let scrubbed = blank_timings(&body);
+    assert!(!scrubbed.contains("SELECT") && !scrubbed.contains("123"), "raw SQL leaked: {body}");
 
     let report = Json::parse(&body).unwrap();
     let entries = report.get("slow").and_then(Json::as_arr).unwrap();
