@@ -189,32 +189,32 @@ impl PairwiseHist {
     }
 
     /// Builds from a table that is already encoded under `pre`: samples `Ns` rows
-    /// of `matrix` with the same sampler and seed as [`Dataset::sample`] and
-    /// refines from min/max initial edges. Encoding is per value, so this is
-    /// bit-identical to [`PairwiseHist::build_with_preprocessor`] over the
-    /// decoded rows — without a second encode of the sample.
-    pub fn build_from_encoded(
-        matrix: &EncodedMatrix,
-        pre: Arc<Preprocessor>,
-        cfg: &PairwiseHistConfig,
-    ) -> Self {
-        Self::build_sampled(matrix, pre, None, cfg)
-    }
-
-    /// [`PairwiseHist::build_from_encoded`] with initial edges seeded from
-    /// per-column GreedyGD base values, as [`GdCompressor::base_values`]
-    /// gives them (Algorithm 1 line 4). Bit-identical to
-    /// [`PairwiseHist::build_from_gd`] over the store
+    /// of `matrix` (all of them when `Ns ≥ N`) with the same sampler and seed as
+    /// [`Dataset::sample`]. Encoding is per value, so with `base_values: None`
+    /// (min/max initial edges) this is bit-identical to
+    /// [`PairwiseHist::build_with_preprocessor`] over the decoded rows — without
+    /// a second encode of the sample.
+    ///
+    /// `Some(base_values)` seeds the initial edges from per-column GreedyGD base
+    /// values, as [`GdCompressor::base_values`] gives them (Algorithm 1 line 4):
+    /// bit-identical to [`PairwiseHist::build_from_gd`] over the store
     /// `GdCompressor::compress(matrix)` would build, without building it.
     ///
     /// [`GdCompressor::base_values`]: ph_gd::GdCompressor::base_values
-    pub fn build_from_base_values(
+    pub fn build_from_encoded(
         matrix: &EncodedMatrix,
-        base_values: Vec<Vec<u64>>,
+        base_values: Option<Vec<Vec<u64>>>,
         pre: Arc<Preprocessor>,
         cfg: &PairwiseHistConfig,
     ) -> Self {
-        Self::build_sampled(matrix, pre, Some(base_values), cfg)
+        let n = matrix.n_rows;
+        let ns = cfg.ns.min(n);
+        let seeds = base_values.map(|b| seed_edges(b.into_iter(), ns, cfg));
+        if ns == n {
+            return Self::build_from_matrix(matrix, pre, n as u64, seeds, cfg);
+        }
+        let sample = matrix.take_rows(&sample_rows(n, ns, cfg.seed));
+        Self::build_from_matrix(&sample, pre, n as u64, seeds, cfg)
     }
 
     /// Builds on top of GreedyGD-compressed data (the framework of Fig 2): the sample
@@ -230,24 +230,6 @@ impl PairwiseHist {
         let matrix = store.rows(&sample_rows(n, ns, cfg.seed));
         let seeds = seed_edges((0..store.n_columns()).map(|c| store.base_values(c)), ns, cfg);
         Self::build_from_matrix(&matrix, pre, n as u64, Some(seeds), cfg)
-    }
-
-    /// Samples `Ns` rows of an encoded table (all of them when `Ns ≥ N`) and
-    /// builds, seeding initial edges from `base_values` when given.
-    fn build_sampled(
-        matrix: &EncodedMatrix,
-        pre: Arc<Preprocessor>,
-        base_values: Option<Vec<Vec<u64>>>,
-        cfg: &PairwiseHistConfig,
-    ) -> Self {
-        let n = matrix.n_rows;
-        let ns = cfg.ns.min(n);
-        let seeds = base_values.map(|b| seed_edges(b.into_iter(), ns, cfg));
-        if ns == n {
-            return Self::build_from_matrix(matrix, pre, n as u64, seeds, cfg);
-        }
-        let sample = matrix.take_rows(&sample_rows(n, ns, cfg.seed));
-        Self::build_from_matrix(&sample, pre, n as u64, seeds, cfg)
     }
 
     /// Core construction from an encoded sample matrix.

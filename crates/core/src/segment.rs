@@ -235,13 +235,11 @@ pub(crate) fn build_segment(
     cfg: &PairwiseHistConfig,
     edges: Edges,
 ) -> Segment {
-    let engine = match edges {
-        Edges::MinMax => PairwiseHist::build_from_encoded(matrix, pre.clone(), cfg),
-        Edges::GdBases => {
-            let base_values = GdCompressor::new().base_values(matrix);
-            PairwiseHist::build_from_base_values(matrix, base_values, pre.clone(), cfg)
-        }
+    let base_values = match edges {
+        Edges::MinMax => None,
+        Edges::GdBases => Some(GdCompressor::new().base_values(matrix)),
     };
+    let engine = PairwiseHist::build_from_encoded(matrix, base_values, pre.clone(), cfg);
     Segment::new(engine, Some(Arc::new(seal_store(matrix))))
 }
 

@@ -1073,7 +1073,7 @@ impl Session {
             // only consumed *after* the rebuild succeeds: a failure (e.g. a
             // legacy segment without retained rows) must leave the table — and
             // the delta-rows ↔ delta-synopsis invariant — exactly as it was.
-            let state = self.refit(table, &cur, delta_rows.as_ref(), batch, cause)?;
+            let state = self.refit(table, &cur, delta_rows.as_ref(), batch)?;
             // Journal only once the batch is certain to apply: a journaled
             // batch that could never re-apply would poison replay.
             self.wal_append(table, &cell, batch)?;
@@ -1081,6 +1081,7 @@ impl Session {
             cell.set_delta_bytes(0);
             let staleness = state.staleness();
             cell.swap(state);
+            cause.inc();
             // After the swap, so a re-prepare triggered by the invalidation can
             // only ever see the new epoch.
             self.cache.invalidate_table(table);
@@ -1134,12 +1135,12 @@ impl Session {
             // exactly as the old no-retained-rows posture behaved.
             if below_fitted_min(&pre, delta_data) {
                 let empty = batch.take(&[]);
-                let cause = &self.refits.below_min;
-                if let Ok(state) = self.refit(table, &cur, delta_rows.as_ref(), &empty, cause) {
+                if let Ok(state) = self.refit(table, &cur, delta_rows.as_ref(), &empty) {
                     *delta_rows = None;
                     cell.set_delta_bytes(0);
                     let staleness = state.staleness();
                     cell.swap(state);
+                    self.refits.below_min.inc();
                     self.cache.invalidate_table(table);
                     return Ok(IngestReport {
                         rows: batch.n_rows(),
@@ -1233,15 +1234,14 @@ impl Session {
     /// The refit rebuild: all rows (decoded segment stores + delta + batch) under
     /// freshly fitted transforms, as one segment. Pure with respect to the
     /// caller's state — the delta rows are borrowed, not consumed, so a failure
-    /// leaves the table untouched. Traced as [`Stage::Refit`]; `cause` counts
-    /// it once it succeeds.
+    /// leaves the table untouched. Traced as [`Stage::Refit`]; each caller
+    /// counts the refit under its cause once the new state is swapped in.
     fn refit(
         &self,
         table: &str,
         cur: &TableState,
         delta: Option<&Dataset>,
         batch: &Dataset,
-        cause: &ph_obs::Counter,
     ) -> Result<TableState, PhError> {
         let _refit = span(Stage::Refit);
         let mut matrices = Vec::with_capacity(cur.segments.len());
@@ -1266,7 +1266,6 @@ impl Session {
         let pre = Arc::new(ph_gd::Preprocessor::fit(&all));
         let segment = build_segment(&pre.encode(&all), &pre, &cur.cfg, Edges::MinMax);
         let epoch = segment.engine.plan_epoch();
-        cause.inc();
         Ok(TableState {
             epoch,
             pre,

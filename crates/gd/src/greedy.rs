@@ -62,10 +62,7 @@ impl GdCompressor {
     /// Compresses an encoded matrix: fits deviation bit-widths on a sample, then
     /// deduplicates bases exactly over all rows.
     pub fn compress(&self, data: &EncodedMatrix) -> GdStore {
-        let widths: Vec<u32> = (0..data.n_columns())
-            .map(|c| bits_for(data.column_max(c)))
-            .collect();
-        let dev_bits = self.fit_dev_bits(data, &widths);
+        let (widths, dev_bits) = self.fit_split(data);
         GdStore::build(data, &widths, &dev_bits)
     }
 
@@ -76,10 +73,7 @@ impl GdCompressor {
     /// per-column projections are the same). This is all PairwiseHist's
     /// base-seeded build needs from GreedyGD.
     pub fn base_values(&self, data: &EncodedMatrix) -> Vec<Vec<u64>> {
-        let widths: Vec<u32> = (0..data.n_columns())
-            .map(|c| bits_for(data.column_max(c)))
-            .collect();
-        let dev_bits = self.fit_dev_bits(data, &widths);
+        let (widths, dev_bits) = self.fit_split(data);
         let jobs: Vec<(&[u64], u32, u32)> = data
             .columns
             .iter()
@@ -98,6 +92,15 @@ impl GdCompressor {
                 parts
             }
         })
+    }
+
+    /// The bit split: each column's full width and its fitted deviation width.
+    fn fit_split(&self, data: &EncodedMatrix) -> (Vec<u32>, Vec<u32>) {
+        let widths: Vec<u32> = (0..data.n_columns())
+            .map(|c| bits_for(data.column_max(c)))
+            .collect();
+        let dev_bits = self.fit_dev_bits(data, &widths);
+        (widths, dev_bits)
     }
 
     /// Greedy search for per-column deviation widths.

@@ -8,8 +8,7 @@
 //! hundred rows — stay on the calling thread, where a thread spawn would cost
 //! more than the work.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
 /// Rows at or above which a per-column stage runs column-parallel. A seal
 /// slice (50 000 rows by default), a registration and a refit rebuild cross
@@ -25,9 +24,9 @@ fn hardware_threads() -> usize {
 
 /// Maps `f` over `items` (one per column of a `rows`-row table), returning
 /// the results in input order. With `rows >= PARALLEL_MIN_ROWS`, at least two
-/// items and more than one hardware thread, the items are claimed one at a
-/// time by at most `min(threads, items)` scoped workers; otherwise the map
-/// runs serially on the caller.
+/// items and more than one hardware thread, the items are split into
+/// `min(threads, items)` contiguous chunks, each mapped on its own scoped
+/// thread; otherwise the map runs serially on the caller.
 pub fn map_columns<I, T, F>(rows: usize, items: Vec<I>, f: F) -> Vec<T>
 where
     I: Send,
@@ -38,32 +37,21 @@ where
     if rows < PARALLEL_MIN_ROWS || workers < 2 {
         return items.into_iter().map(f).collect();
     }
-    let n = items.len();
-    let inputs: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-    let outputs: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
+    let per_chunk = items.len().div_ceil(workers);
+    let mut items = items.into_iter();
+    let chunks: Vec<Vec<I>> =
+        (0..workers).map(|_| items.by_ref().take(per_chunk).collect()).collect();
+    let f = &f;
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                let Some(slot) = inputs.get(k) else { break };
-                let Some(item) = slot.lock().unwrap_or_else(PoisonError::into_inner).take()
-                else {
-                    continue;
-                };
-                let out = f(item);
-                *outputs[k].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
-            });
-        }
-    });
-    outputs
-        .into_iter()
-        .map(|o| {
-            // Every index below `n` was claimed and filled before the scope
-            // joined; a worker panic would have propagated out of `scope`.
-            o.into_inner().unwrap_or_else(PoisonError::into_inner).expect("every column mapped")
-        })
-        .collect()
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .map(|chunk| scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<T>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    })
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ fn encoded_build_matches_the_raw_dataset_build() {
     for ns in [5_000, 12_000, 50_000] {
         let cfg = serial(ns);
         let raw = PairwiseHist::build_with_preprocessor(&data, pre.clone(), &cfg);
-        let encoded = PairwiseHist::build_from_encoded(&matrix, pre.clone(), &cfg);
+        let encoded = PairwiseHist::build_from_encoded(&matrix, None, pre.clone(), &cfg);
         assert_eq!(raw.to_bytes(), encoded.to_bytes(), "ns = {ns}");
     }
 
@@ -77,7 +77,7 @@ fn sealed_power_slices_match_the_gd_seeded_build() {
         let snapshot = session.engine("Power").unwrap();
         assert_eq!(snapshot.segments()[k].to_bytes(), parent, "slice {k}");
         // GreedyGD keeps every Power bit in the deviation: min/max seeding.
-        let min_max = PairwiseHist::build_from_encoded(&matrix, pre.clone(), &cfg).to_bytes();
+        let min_max = PairwiseHist::build_from_encoded(&matrix, None, pre.clone(), &cfg).to_bytes();
         assert_eq!(min_max, parent, "slice {k}");
     }
 }
@@ -105,9 +105,9 @@ fn base_seeded_build_matches_the_gd_store_build_where_seeds_matter() {
     let base_values = gd.base_values(&matrix);
     assert!(base_values.iter().any(|v| v.len() > 1), "GreedyGD keeps base bits here");
     let from_store = PairwiseHist::build_from_gd(&gd.compress(&matrix), pre.clone(), &cfg);
-    let seeded = PairwiseHist::build_from_base_values(&matrix, base_values, pre.clone(), &cfg);
+    let seeded = PairwiseHist::build_from_encoded(&matrix, Some(base_values), pre.clone(), &cfg);
     assert_eq!(seeded.to_bytes(), from_store.to_bytes());
-    let min_max = PairwiseHist::build_from_encoded(&matrix, pre, &cfg);
+    let min_max = PairwiseHist::build_from_encoded(&matrix, None, pre, &cfg);
     assert_ne!(min_max.to_bytes(), from_store.to_bytes());
 }
 
